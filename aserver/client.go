@@ -95,8 +95,8 @@ type client struct {
 	flow evictPolicy
 
 	// Eviction state. evict() runs once: it records why (closeReason,
-	// classified into a counter by removeClient) and what to tell the
-	// client (goodbye, a proto.Err* code the writer sends as its last
+	// frozen by removeClient, counted by drainResidual) and what to tell
+	// the client (goodbye, a proto.Err* code the writer sends as its last
 	// message), then interrupts the writer via the evicted channel.
 	goodbye     atomic.Uint32
 	closeReason atomic.Uint32
@@ -113,7 +113,8 @@ type client struct {
 	// here.
 	stage *wireMsg
 
-	removed bool // loop-side flag: removeClient already ran
+	removed       bool   // loop-side flag: removeClient already ran
+	removedReason uint32 // closeReason as removeClient saw it
 }
 
 // newClient builds a connection's server-side state with the server's
@@ -305,8 +306,8 @@ const maxRunLen = 32
 func (c *client) reader() {
 	br := bufio.NewReaderSize(c.conn, readerBufBytes)
 	var hdr [4]byte
-	req := &request{c: c}              // reused across hot requests; parks copy out of it
-	var await *parked                  // outstanding blocked request, if any
+	req := &request{c: c} // reused across hot requests; parks copy out of it
+	var await *parked     // outstanding blocked request, if any
 	run := make([]runFrame, 0, maxRunLen)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -619,6 +620,11 @@ func (c *client) writer() {
 // c.closed) because until the client is out of every registry a sender
 // may still be enqueueing; after that the final sweep is exact — any
 // sender racing past the dead check compensates via unqueueOne.
+//
+// Only then does the client count as disconnected, so a snapshot with
+// connects == disconnects and no active clients means the server holds
+// no queued bytes or pooled messages for any of them, and Server.Drain,
+// whose Close waits for every writer, returns on the same condition.
 func (c *client) drainResidual() {
 	settle := func(m *wireMsg) {
 		n := int64(len(m.buf))
@@ -636,6 +642,13 @@ func (c *client) drainResidual() {
 				case m := <-c.outCh:
 					settle(m)
 				default:
+					// Classify the disconnect before counting it: every
+					// reader then sees disconnects <= evictions + sheds +
+					// drains + client closes, with equality once drained.
+					sm := c.s.sm
+					sm.closeCounterFor(c.removedReason).Inc()
+					sm.disconnects.Inc()
+					sm.activeClients.Add(-1)
 					return
 				}
 			}

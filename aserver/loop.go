@@ -98,12 +98,9 @@ func (s *Server) removeClient(c *client) {
 	}
 	c.removed = true
 	c.dead.Store(true)
-	// Classify the disconnect before counting it: every reader of the
-	// counters then sees disconnects <= evictions + sheds + drains +
-	// client closes, with equality once the server is drained.
-	s.sm.closeCounterFor(c.closeReason.Load()).Inc()
-	s.sm.disconnects.Inc()
-	s.sm.activeClients.Add(-1)
+	// The close reason is frozen here; the writer counts the disconnect
+	// once it has settled the queue (drainResidual).
+	c.removedReason = c.closeReason.Load()
 	s.clientMu.Lock()
 	delete(s.clients, c)
 	s.clientMu.Unlock()
@@ -119,7 +116,7 @@ func (s *Server) removeClient(c *client) {
 		s.releaseAC(a)
 	}
 	// Wake the writer so it drains and closes the conn, and unblock the
-	// reader.
+	// reader. The close publishes removedReason to the writer.
 	close(c.closed)
 }
 

@@ -25,9 +25,10 @@ import (
 //     point every record reply passes through (first-try and retry).
 //   - Park lifecycle: registration in dispatchHot, release in
 //     engine.finishPark. parks started == completed + discarded.
-//   - Connects/disconnects: the control plane (loop.go register /
-//     removeClient), each exactly once per client, so after every
-//     client is gone connects == disconnects.
+//   - Connects/disconnects: the control plane counts the connect
+//     (loop.go register), the client's writer the disconnect once its
+//     queue is settled (client.go drainResidual), each exactly once per
+//     client, so after every client is gone connects == disconnects.
 //   - Queue overflows, client errors, queue depth, writev batches:
 //     client.go's send/sendError/writer.
 //   - Frame conservation counters and silence fill: internal/core and

@@ -17,13 +17,14 @@ import (
 
 // benchResult is one benchmark line in the JSON summary.
 type benchResult struct {
-	Pkg         string  `json:"pkg,omitempty"`
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	MBPerS      float64 `json:"mb_per_s,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	Pkg        string  `json:"pkg,omitempty"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	MBPerS     float64 `json:"mb_per_s,omitempty"`
+	// Nil when the run had no -benchmem; a measured zero is kept.
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 // benchSummary is the top-level JSON document.
@@ -79,9 +80,9 @@ func parseBench(rd io.Reader) (*benchSummary, error) {
 			case "MB/s":
 				r.MBPerS = v
 			case "B/op":
-				r.BytesPerOp = v
+				r.BytesPerOp = &v
 			case "allocs/op":
-				r.AllocsPerOp = v
+				r.AllocsPerOp = &v
 			}
 		}
 		s.Benchmarks = append(s.Benchmarks, r)

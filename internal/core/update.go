@@ -108,9 +108,7 @@ func (r *Device) recUpdate(now atime.ATime) {
 		}
 		buf := r.scratch[:c*r.frameBytes]
 		if r.inputsEnabled == 0 {
-			for i := range buf {
-				buf[i] = r.silence
-			}
+			sampleconv.Fill(buf, r.silence)
 		} else {
 			r.backend.ReadRecord(start, buf)
 			if gain != 1.0 {

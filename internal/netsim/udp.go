@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the datagram counterpart of FaultConn: packet-level fault
@@ -57,21 +56,22 @@ type PacketFaultConfig struct {
 }
 
 // PacketDirStats is one direction's packet accounting. The conservation
-// law, exact once the conn is closed (Held == 0 by then):
+// law, exact in every snapshot (Held is 0 once the conn is closed and
+// its writers have returned):
 //
 //	Seen + Duplicated == Delivered + Dropped + BlackedOut + DroppedAtClose + Held
 //
 // Every datagram copy that enters the fault layer leaves it through
 // exactly one of those doors.
 type PacketDirStats struct {
-	Seen           uint64 `json:"seen"`            // datagrams entering the fault layer
-	Delivered      uint64 `json:"delivered"`       // copies handed through
-	Dropped        uint64 `json:"dropped"`         // random loss
-	Duplicated     uint64 `json:"duplicated"`      // extra copies created
-	Reordered      uint64 `json:"reordered"`       // datagrams held back
-	BlackedOut     uint64 `json:"blacked_out"`     // dropped inside a burst blackout
-	DroppedAtClose uint64 `json:"dropped_at_close"` // held datagrams discarded at Close
-	Held           uint64 `json:"held"`            // currently held back (gauge)
+	Seen           uint64 `json:"seen"`             // datagrams entering the fault layer
+	Delivered      uint64 `json:"delivered"`        // copies handed through
+	Dropped        uint64 `json:"dropped"`          // random loss
+	Duplicated     uint64 `json:"duplicated"`       // extra copies created
+	Reordered      uint64 `json:"reordered"`        // datagrams held back
+	BlackedOut     uint64 `json:"blacked_out"`      // dropped inside a burst blackout
+	DroppedAtClose uint64 `json:"dropped_at_close"` // discarded at Close or refused by the inner conn
+	Held           uint64 `json:"held"`             // held back, pending or in flight (gauge)
 }
 
 // check reports "" when the direction's conservation law holds, else a
@@ -87,7 +87,7 @@ type PacketFaultStats struct {
 }
 
 // Conserved reports whether both directions obey the packet
-// conservation law (chaos tests assert it after Close).
+// conservation law; it holds in every snapshot.
 func (s PacketFaultStats) Conserved() bool {
 	return s.Ingress.check() && s.Egress.check()
 }
@@ -110,14 +110,11 @@ type faultDir struct {
 	span    int
 	held    []heldPacket
 	pending []heldPacket
-
-	seen           atomic.Uint64
-	delivered      atomic.Uint64
-	dropped        atomic.Uint64
-	duplicated     atomic.Uint64
-	reordered      atomic.Uint64
-	blackedOut     atomic.Uint64
-	droppedAtClose atomic.Uint64
+	// inflight counts copies WriteTo has taken from pending and not yet
+	// settled as delivered or refused.
+	inflight int
+	closed   bool           // set by Close: nothing is admitted afterwards
+	st       PacketDirStats // the counters; Held is computed by stats
 }
 
 func newFaultDir(rates PacketFaultRates, seed int64) *faultDir {
@@ -134,10 +131,16 @@ func newFaultDir(rates PacketFaultRates, seed int64) *faultDir {
 
 // admit runs one arriving datagram through the schedule, appending any
 // now-deliverable packets (this one, duplicates, and previously held
-// packets whose span expired) to pending. Must be called with d.mu held.
-func (d *faultDir) admit(data []byte, addr net.Addr) {
-	idx := d.seen.Load()
-	d.seen.Add(1)
+// packets whose span expired) to pending. Once the direction is closed
+// it admits nothing and reports false: a datagram arriving after Close
+// never enters the fault layer, so it can strand nothing in the queues.
+// Must be called with d.mu held.
+func (d *faultDir) admit(data []byte, addr net.Addr) bool {
+	if d.closed {
+		return false
+	}
+	idx := d.st.Seen
+	d.st.Seen++
 	// Every passing datagram ages the hold queue, whether or not it
 	// survives: a dropped packet still "passed" the held one on the wire.
 	for i := 0; i < len(d.held); {
@@ -151,57 +154,63 @@ func (d *faultDir) admit(data []byte, addr net.Addr) {
 	}
 	if e, l := d.rates.BlackoutEvery, d.rates.BlackoutLen; e > 0 && l > 0 &&
 		int(idx%uint64(e)) >= e-l {
-		d.blackedOut.Add(1)
-		return
+		d.st.BlackedOut++
+		return true
 	}
 	if d.rates.Loss > 0 && d.rng.Float64() < d.rates.Loss {
-		d.dropped.Add(1)
-		return
+		d.st.Dropped++
+		return true
 	}
 	copies := 1
 	if d.rates.Dup > 0 && d.rng.Float64() < d.rates.Dup {
-		d.duplicated.Add(1)
+		d.st.Duplicated++
 		copies = 2
 	}
 	if d.rates.Reorder > 0 && d.rng.Float64() < d.rates.Reorder {
-		d.reordered.Add(1)
+		d.st.Reordered++
 		for i := 0; i < copies; i++ {
 			d.held = append(d.held, heldPacket{data: data, addr: addr, after: d.span})
 		}
-		return
+		return true
 	}
 	for i := 0; i < copies; i++ {
 		d.pending = append(d.pending, heldPacket{data: data, addr: addr})
 	}
+	return true
 }
 
-// flushHeld discards everything still held (Close).
+// flushHeld discards everything still held and closes the direction
+// (Close).
 func (d *faultDir) flushHeld() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.droppedAtClose.Add(uint64(len(d.held) + len(d.pending)))
+	d.closed = true
+	d.st.DroppedAtClose += uint64(len(d.held) + len(d.pending))
 	d.held = nil
 	d.pending = nil
 }
 
-func (d *faultDir) stats() PacketDirStats {
-	// Classification counters are read before Seen (and Seen is
-	// incremented first at admit), so a live snapshot can under-count the
-	// outcomes of the newest packets but never invent copies; the law is
-	// checked only on closed conns, where the queues are settled.
+// land settles n in-flight egress copies: delivered, or refused by the
+// inner conn (a Close racing the write), which counts as DroppedAtClose.
+func (d *faultDir) land(n int, delivered bool) {
 	d.mu.Lock()
-	held := uint64(len(d.held) + len(d.pending))
-	d.mu.Unlock()
-	return PacketDirStats{
-		Delivered:      d.delivered.Load(),
-		Dropped:        d.dropped.Load(),
-		Duplicated:     d.duplicated.Load(),
-		Reordered:      d.reordered.Load(),
-		BlackedOut:     d.blackedOut.Load(),
-		DroppedAtClose: d.droppedAtClose.Load(),
-		Held:           held,
-		Seen:           d.seen.Load(),
+	defer d.mu.Unlock()
+	d.inflight -= n
+	if delivered {
+		d.st.Delivered += uint64(n)
+	} else {
+		d.st.DroppedAtClose += uint64(n)
 	}
+}
+
+func (d *faultDir) stats() PacketDirStats {
+	// Every counter moves under d.mu, so a snapshot taken under it
+	// balances exactly, live or closed.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.st
+	s.Held = uint64(len(d.held) + len(d.pending) + d.inflight)
+	return s
 }
 
 // FaultPacketConn wraps a net.PacketConn with the configured per-
@@ -243,7 +252,7 @@ func (c *FaultPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 		if len(c.in.pending) > 0 {
 			p := c.in.pending[0]
 			c.in.pending = c.in.pending[1:]
-			c.in.delivered.Add(1)
+			c.in.st.Delivered++
 			c.in.mu.Unlock()
 			return copy(b, p.data), p.addr, nil
 		}
@@ -254,26 +263,35 @@ func (c *FaultPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 		}
 		data := append([]byte(nil), c.rbuf[:n]...)
 		c.in.mu.Lock()
-		c.in.admit(data, addr)
+		ok := c.in.admit(data, addr)
 		c.in.mu.Unlock()
+		if !ok {
+			return 0, addr, net.ErrClosed
+		}
 	}
 }
 
 // WriteTo pushes a datagram through the egress schedule. Dropped packets
 // still report success — that is UDP's contract — and deliverable
 // packets (this one, duplicates, released holds) are written in order.
+// After Close it fails with net.ErrClosed and admits nothing. Copies on
+// their way to the inner conn count as Held until they land.
 func (c *FaultPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	c.out.mu.Lock()
-	data := append([]byte(nil), b...)
-	c.out.admit(data, addr)
+	if !c.out.admit(append([]byte(nil), b...), addr) {
+		c.out.mu.Unlock()
+		return 0, net.ErrClosed
+	}
 	flush := c.out.pending
 	c.out.pending = nil
+	c.out.inflight += len(flush)
 	c.out.mu.Unlock()
-	for _, p := range flush {
+	for i, p := range flush {
 		if _, err := c.PacketConn.WriteTo(p.data, p.addr); err != nil {
+			c.out.land(len(flush)-i, false)
 			return len(b), err
 		}
-		c.out.delivered.Add(1)
+		c.out.land(1, true)
 	}
 	return len(b), nil
 }

@@ -2,8 +2,12 @@ package netsim
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -36,11 +40,11 @@ func (s *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
 	return len(b), nil
 }
 
-func (s *scriptConn) Close() error                       { return nil }
-func (s *scriptConn) LocalAddr() net.Addr                { return scriptAddr{} }
-func (s *scriptConn) SetDeadline(time.Time) error        { return nil }
-func (s *scriptConn) SetReadDeadline(time.Time) error    { return nil }
-func (s *scriptConn) SetWriteDeadline(time.Time) error   { return nil }
+func (s *scriptConn) Close() error                     { return nil }
+func (s *scriptConn) LocalAddr() net.Addr              { return scriptAddr{} }
+func (s *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (s *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (s *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 func pkt(i int) []byte {
 	b := make([]byte, 4)
@@ -232,5 +236,57 @@ func TestIngressFaults(t *testing.T) {
 	st := fc.Stats().Ingress
 	if st.Delivered != uint64(got) {
 		t.Errorf("Delivered = %d, read %d", st.Delivered, got)
+	}
+}
+
+// TestWriteCloseRace races writers against Close under duplication and
+// reordering. The egress law must balance in live snapshots taken while
+// copies are in flight, and after Close, with copies admitted when Close
+// lands, copies the closed inner conn refuses and writes after Close all
+// settled, nothing may be left held.
+func TestWriteCloseRace(t *testing.T) {
+	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	for seed := int64(1); seed <= 20; seed++ {
+		inner, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := NewFaultPacketConn(inner, PacketFaultConfig{
+			Seed:   seed,
+			Egress: PacketFaultRates{Dup: 0.3, Reorder: 0.3, ReorderSpan: 3},
+		})
+		var wg sync.WaitGroup
+		var sent atomic.Int64
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if _, err := fc.WriteTo(pkt(i), sink.LocalAddr()); err != nil {
+						return
+					}
+					sent.Add(1)
+				}
+			}()
+		}
+		for sent.Load() < 50*seed {
+			if st := fc.Stats(); !st.Conserved() {
+				t.Fatalf("seed %d: live egress books do not balance: %+v", seed, st.Egress)
+			}
+			runtime.Gosched()
+		}
+		fc.Close()
+		wg.Wait()
+		if _, err := fc.WriteTo(pkt(0), sink.LocalAddr()); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("seed %d: WriteTo after Close = %v, want net.ErrClosed", seed, err)
+		}
+		st := fc.Stats()
+		if !st.Conserved() || st.Egress.Held != 0 {
+			t.Fatalf("seed %d: egress books after Close: %+v", seed, st.Egress)
+		}
 	}
 }

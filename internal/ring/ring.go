@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/sampleconv"
 )
 
 // Ring is a time-indexed circular buffer of sample frames.
@@ -108,16 +109,38 @@ func (r *Ring) ReadAt(t atime.ATime, buf []byte) {
 	}
 }
 
+// ReadWindow copies frames [t, t+n) into buf, n = len(buf)/FrameBytes.
+// Only frames inside the valid window [lo, hi) come from the ring, in at
+// most two region copies; every frame outside it reads as the byte
+// silence. It returns the number of valid frames. The window must be no
+// longer than the ring (lo == hi is the empty window) and n below 2^31.
+//
+// This is the update task's block move (§7.2): the window is placed
+// relative to t once, with wrapped-time arithmetic, so the valid frames
+// are the one run [a, end) of buf's frame indexes.
+func (r *Ring) ReadWindow(t atime.ATime, buf []byte, lo, hi atime.ATime, silence byte) int {
+	fb := r.frameBytes
+	n := len(buf) / fb
+	buf = buf[:n*fb]
+	a := int(atime.Sub(lo, t))
+	end := a + int(atime.Sub(hi, lo))
+	a, end = max(a, 0), min(end, n)
+	if a >= end {
+		sampleconv.Fill(buf, silence)
+		return 0
+	}
+	sampleconv.Fill(buf[:a*fb], silence)
+	r.ReadAt(atime.Add(t, a), buf[a*fb:end*fb])
+	sampleconv.Fill(buf[end*fb:], silence)
+	return end - a
+}
+
 // Fill writes the byte value v over nframes frames starting at time t
 // (used for silence fill).
 func (r *Ring) Fill(t atime.ATime, nframes int, v byte) {
 	a, b := r.Region(t, nframes)
-	for i := range a {
-		a[i] = v
-	}
-	for i := range b {
-		b[i] = v
-	}
+	sampleconv.Fill(a, v)
+	sampleconv.Fill(b, v)
 	r.filled += uint64(nframes)
 }
 

@@ -130,6 +130,33 @@ func TestFill(t *testing.T) {
 	}
 }
 
+// FilledFrames counts exactly the frames Fill writes, wrapping or not;
+// WriteAt, ReadAt and the silence ReadWindow writes into the caller's
+// buffer leave it unchanged.
+func TestFillFilledFrames(t *testing.T) {
+	r := New(16, 4)
+	r.Fill(0, 16, 0)
+	r.ResetFilledFrames()
+	r.Fill(12, 7, 0xFF) // wraps
+	r.Fill(3, 0, 0xFF)
+	r.Fill(math.MaxUint32-1, 5, 0xD5) // wraps in device time too
+	if got := r.FilledFrames(); got != 12 {
+		t.Fatalf("FilledFrames after fills = %d, want 12", got)
+	}
+	r.WriteAt(14, make([]byte, 4*4))
+	r.ReadAt(2, make([]byte, 4*9))
+	buf := make([]byte, 4*40)
+	if n := r.ReadWindow(100, buf, 110, 126, 0xFF); n != 16 {
+		t.Fatalf("ReadWindow valid = %d, want 16", n)
+	}
+	if n := r.ReadWindow(100, buf, 7, 7, 0xFF); n != 0 {
+		t.Fatalf("ReadWindow over an empty window = %d, want 0", n)
+	}
+	if got := r.FilledFrames(); got != 12 {
+		t.Errorf("FilledFrames after writes and reads = %d, want 12", got)
+	}
+}
+
 // Property: data written at time t is read back identically at t, for any
 // t, as long as it fits in the ring.
 func TestQuickRoundTrip(t *testing.T) {

@@ -230,10 +230,18 @@ func (e Encoding) SilenceByte() byte {
 }
 
 // Silence fills buf with silent sample data in encoding e.
-func Silence(e Encoding, buf []byte) {
-	b := e.SilenceByte()
-	for i := range buf {
-		buf[i] = b
+func Silence(e Encoding, buf []byte) { Fill(buf, e.SilenceByte()) }
+
+// Fill sets every byte of buf to v. It stores one byte and then doubles
+// the filled prefix with copy, so a fill costs O(log n) memmoves instead
+// of n byte stores; every silence fill in the server goes through it.
+func Fill(buf []byte, v byte) {
+	if len(buf) == 0 {
+		return
+	}
+	buf[0] = v
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
 	}
 }
 

@@ -152,6 +152,27 @@ func TestSilence(t *testing.T) {
 	}
 }
 
+func TestFill(t *testing.T) {
+	// Every length across several doublings, inside a larger buffer whose
+	// guard bytes must survive: Fill writes exactly buf and nothing past it.
+	backing := make([]byte, 1100)
+	for n := 0; n <= 1030; n++ {
+		for i := range backing {
+			backing[i] = 0x5A
+		}
+		Fill(backing[7:7+n], 0xD5)
+		for i, b := range backing {
+			want := byte(0x5A)
+			if i >= 7 && i < 7+n {
+				want = 0xD5
+			}
+			if b != want {
+				t.Fatalf("len %d: byte %d = %#x, want %#x", n, i, b, want)
+			}
+		}
+	}
+}
+
 func TestEncodingInfo(t *testing.T) {
 	cases := []struct {
 		e        Encoding

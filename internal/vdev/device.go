@@ -215,20 +215,5 @@ func (d *Device) WritePlay(t atime.ATime, data []byte) int {
 // buf. Frames outside the recorded window [now - HWFrames, now) read as
 // silence; it returns the number of valid frames delivered.
 func (d *Device) ReadRecord(t atime.ATime, buf []byte) int {
-	n := len(buf) / d.frameBytes
-	oldest := atime.Add(d.now, -d.hwRec.Frames())
-	valid := 0
-	for i := 0; i < n; i++ {
-		ft := atime.Add(t, i)
-		out := buf[i*d.frameBytes : (i+1)*d.frameBytes]
-		if atime.Before(ft, oldest) || !atime.Before(ft, d.now) {
-			for j := range out {
-				out[j] = d.silence
-			}
-			continue
-		}
-		d.hwRec.ReadAt(ft, out)
-		valid++
-	}
-	return valid
+	return d.hwRec.ReadWindow(t, buf, atime.Add(d.now, -d.hwRec.Frames()), d.now, d.silence)
 }
