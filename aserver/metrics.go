@@ -229,8 +229,8 @@ func (sm *serverMetrics) newEngineMetrics(rootIndex int) *engineMetrics {
 // Snapshot is the consistent, JSON-renderable state of the server's
 // metrics: what `afd -stats` serves and `astat` renders. Atomics are
 // read individually (never torn); the per-device frame counters are
-// read under each engine's lock, so within one device the conservation
-// laws hold exactly in every snapshot.
+// read under each engine's lock, so within one device the frame laws
+// hold exactly in every snapshot. Laws checks the snapshot.
 type Snapshot struct {
 	Requests       uint64 `json:"requests"`
 	Connects       uint64 `json:"connects"`
@@ -239,8 +239,7 @@ type Snapshot struct {
 	ClientErrors   uint64 `json:"client_errors"`
 	QueueOverflows uint64 `json:"queue_overflows"`
 
-	// Disconnect classification: Disconnects <= Evictions + Sheds +
-	// Drains + ClientCloses in every snapshot, with equality after drain.
+	// Disconnect classification (law close_reasons, see Laws).
 	Evictions    uint64 `json:"evictions"`
 	Sheds        uint64 `json:"sheds"`
 	Drains       uint64 `json:"drains"`
@@ -254,10 +253,9 @@ type Snapshot struct {
 	DispatchGetTimeNs metrics.HistogramSnapshot `json:"dispatch_gettime_ns"`
 	DispatchControlNs metrics.HistogramSnapshot `json:"dispatch_control_ns"`
 
-	// DispatchBatch: requests per dispatch batch, server-wide.
-	// Conservation: DispatchBatch.Sum <= Requests in every snapshot, with
-	// equality once the server is idle (every request is counted in
-	// exactly one batch observation).
+	// DispatchBatch: requests per dispatch batch, server-wide. Every
+	// request is counted in exactly one batch observation (law
+	// dispatch_batch, see Laws).
 	DispatchBatch metrics.HistogramSnapshot `json:"dispatch_batch"`
 
 	StagedBytes   uint64 `json:"staged_bytes"`
@@ -281,10 +279,7 @@ type Snapshot struct {
 }
 
 // DeviceStats is one root device's counters (views account into their
-// root). Frame counters obey, in every snapshot:
-//
-//	FramesAccepted == FramesBuffered + FramesDiscarded
-//	FramesPreempted <= FramesBuffered
+// root). Snapshot.Laws states the laws they obey.
 type DeviceStats struct {
 	Index int    `json:"index"`
 	Name  string `json:"name"`
@@ -315,8 +310,7 @@ type DeviceStats struct {
 	ParkedNow      int64                     `json:"parked_now"`
 	ParkNs         metrics.HistogramSnapshot `json:"park_ns"`
 
-	// Broadcast fan-out: BcastEncodes >= BcastChunks in every snapshot
-	// (one encode per chunk per live wire format).
+	// Broadcast fan-out: one encode per chunk per live wire format.
 	BcastSubs    int64  `json:"bcast_subs"`
 	BcastChunks  uint64 `json:"bcast_chunks"`
 	BcastEncodes uint64 `json:"bcast_encodes"`
@@ -335,10 +329,8 @@ type DeviceStats struct {
 	HWRecorded uint64 `json:"hw_recorded"`
 
 	// Lineserver is the UDP backend's transport-health snapshot (only
-	// for devices whose backend is a LineServer box). Its conservation
-	// laws — Replies >= Accepted+Stale+Duplicate, ResyncsStarted >=
-	// ResyncsCompleted+ResyncsAbandoned, exact once the backend is
-	// closed — are checked by astat like the frame laws above.
+	// for devices whose backend is a LineServer box). Snapshot.Laws
+	// checks its laws (BackendStats.Laws) in Live mode.
 	Lineserver *lineserver.BackendStats `json:"lineserver,omitempty"`
 }
 
@@ -437,6 +429,54 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Devices = append(snap.Devices, ds)
 	}
 	return snap
+}
+
+// Laws returns every conservation law the snapshot breaks, in the given
+// mode; DESIGN.md "Conservation laws" tabulates them. Drained is a server
+// with no clients and no parks. A law has a Live form only where
+// Snapshot's read order makes it hold: Disconnects is read before the
+// close reasons and the batch histogram before Requests, but
+// ParksStarted is read before the park outcomes and Requests before the
+// dispatch histograms, so parks and dispatch_counts are Drained-only.
+// Draining a server does not close its lineserver backends, so their
+// laws are checked Live in both modes.
+func (s Snapshot) Laws(mode metrics.Mode) []metrics.Violation {
+	var v metrics.Violations
+	live := mode == metrics.Live
+	v.Check(mode.Balanced(s.Evictions+s.Sheds+s.Drains+s.ClientCloses, s.Disconnects), "close_reasons",
+		"disconnects %d vs evictions %d + sheds %d + drains %d + client-closes %d",
+		s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
+	v.Check(mode.Balanced(s.Requests, s.DispatchBatch.Sum), "dispatch_batch",
+		"requests %d vs dispatch batch sizes sum %d", s.Requests, s.DispatchBatch.Sum)
+	dispatched := s.DispatchPlayNs.Count + s.DispatchRecordNs.Count +
+		s.DispatchGetTimeNs.Count + s.DispatchControlNs.Count
+	v.Check(live || s.Requests == dispatched, "dispatch_counts",
+		"requests %d != dispatch observations %d", s.Requests, dispatched)
+	v.Check(live || s.Connects == s.Disconnects && s.ActiveClients == 0, "clients",
+		"connects %d, disconnects %d, active %d", s.Connects, s.Disconnects, s.ActiveClients)
+	v.Check(live || s.QueuedBytes == 0, "queued_bytes", "%d bytes queued", s.QueuedBytes)
+	v.Check(live || s.FrameBytesInFlight == 0, "frame_bytes", "%d frame bytes in flight", s.FrameBytesInFlight)
+	for _, d := range s.Devices {
+		v.Check(d.FramesAccepted == d.FramesBuffered+d.FramesDiscarded, "frames",
+			"device %d: accepted %d != buffered %d + discarded %d",
+			d.Index, d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
+		v.Check(d.FramesPreempted <= d.FramesBuffered, "preempted",
+			"device %d: preempted %d > buffered %d", d.Index, d.FramesPreempted, d.FramesBuffered)
+		v.Check(live || d.ParksStarted == d.ParksCompleted+d.ParksDiscarded && d.ParkedNow == 0, "parks",
+			"device %d: started %d, completed %d, discarded %d, parked %d",
+			d.Index, d.ParksStarted, d.ParksCompleted, d.ParksDiscarded, d.ParkedNow)
+		// Encode-once: a chunk is encoded at least once per live wire
+		// format, and its encodes are counted before it.
+		v.Check(d.BcastEncodes >= d.BcastChunks, "bcast_encodes",
+			"device %d: encodes %d < chunks %d", d.Index, d.BcastEncodes, d.BcastChunks)
+		v.Check(live || d.BcastSubs == 0, "bcast_subs", "device %d: %d subscriptions", d.Index, d.BcastSubs)
+		if d.Lineserver != nil {
+			for _, lv := range d.Lineserver.Laws(metrics.Live) {
+				v.Check(false, lv.Law, "device %d: %s", d.Index, lv.Detail)
+			}
+		}
+	}
+	return v
 }
 
 // MetricsRegistry exposes the server's metric registry (for the expvar

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"audiofile/af"
+	"audiofile/internal/metrics"
 	"audiofile/internal/proto"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
 
@@ -165,24 +167,7 @@ func TestWedgedReaderDoesNotStallOthers(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clk.Advance(256)
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+	soaktest.Every(t, 100*time.Microsecond, func() { clk.Advance(256); srv.Sync() })
 
 	// The wedged client floods GetTime requests and never reads. Its
 	// replies (16 bytes each) pile up in its send queue: past 4 KiB the
@@ -222,46 +207,25 @@ func TestWedgedReaderDoesNotStallOthers(t *testing.T) {
 
 	// The flooder must be evicted (not merely slowed) within its
 	// allowance; poll briefly for the counter.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s := srv.Snapshot(); s.Evictions >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			s := srv.Snapshot()
-			t.Fatalf("wedged client not evicted: evictions=%d queued=%d", s.Evictions, s.QueuedBytes)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	soaktest.WaitFor(t, 5*time.Second, "wedged client evicted", func() bool {
+		return srv.Snapshot().Evictions >= 1
+	})
 	floodWG.Wait()
 	conn.Close()
 
-	// Settle and hold the close-reason conservation law to equality.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		s := srv.Snapshot()
-		if s.Connects == s.Disconnects && s.ActiveClients == 0 {
-			if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-				t.Errorf("disconnects %d != evictions %d + sheds %d + drains %d + closes %d",
-					s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
-			}
-			if s.QueuedBytes != 0 {
-				t.Errorf("queued bytes %d after all clients gone", s.QueuedBytes)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("clients did not settle: connects=%d disconnects=%d active=%d",
-				s.Connects, s.Disconnects, s.ActiveClients)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Settle, then hold the books to the exact drained laws.
+	var s Snapshot
+	soaktest.WaitFor(t, 5*time.Second, "clients settled", func() bool {
+		s = srv.Snapshot()
+		return s.Connects == s.Disconnects && s.ActiveClients == 0
+	})
+	soaktest.Laws(t, "drained server", s.Laws(metrics.Drained))
 }
 
 // TestDrainGraceful checks the shutdown path: Drain lets buffered play
 // audio reach the device tail before disconnecting anyone, classifies
-// the disconnects it forces as drains, and leaves the conservation law
-// at equality.
+// the disconnects it forces as drains, and leaves the books at the exact
+// drained laws.
 func TestDrainGraceful(t *testing.T) {
 	clk := vdev.NewManualClock(8000)
 	srv, err := New(Options{
@@ -295,24 +259,7 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				clk.Advance(256)
-				srv.Sync()
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-	defer stepWG.Wait()
-	defer close(stop)
+	soaktest.Every(t, 100*time.Microsecond, func() { clk.Advance(256); srv.Sync() })
 
 	srv.Drain(10 * time.Second)
 
@@ -320,9 +267,7 @@ func TestDrainGraceful(t *testing.T) {
 	if s.Drains != 1 {
 		t.Errorf("drains = %d, want 1 (the connected client)", s.Drains)
 	}
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-		t.Errorf("disconnects %d != close reasons %d after drain", s.Disconnects, sum)
-	}
+	soaktest.Laws(t, "drained server", s.Laws(metrics.Drained))
 	// All buffered audio must have been consumed, none discarded by the
 	// shutdown: that is the "graceful" in graceful drain.
 	for _, d := range s.Devices {

@@ -836,13 +836,8 @@ type RouterBackendStats struct {
 
 // RouterSnapshot is a consistent-enough view of the router's counters
 // for invariant checks: outcome counters are read before their
-// antecedents, so in every snapshot
-//
-//	FailoversStarted >= FailoversCompleted + FailoversAbandoned
-//	Routes >= ClosedClient + ClosedBackend + FailoversStarted
-//
-// with exact equality once SessionsActive is 0 and no setup is in
-// flight.
+// antecedents, so the one-sided forms of its Laws hold in every
+// snapshot.
 type RouterSnapshot struct {
 	Routes         uint64 `json:"routes"`
 	RouteErrors    uint64 `json:"route_errors"`
@@ -894,6 +889,21 @@ func (r *Router) Snapshot() RouterSnapshot {
 		})
 	}
 	return s
+}
+
+// Laws returns every conservation law the snapshot breaks, in the given
+// mode: router_failovers and router_routes balance exactly once drained
+// (no session active, itself law router_sessions) and one-sided live.
+func (s RouterSnapshot) Laws(mode metrics.Mode) []metrics.Violation {
+	var v metrics.Violations
+	v.Check(mode.Balanced(s.FailoversStarted, s.FailoversCompleted+s.FailoversAbandoned), "router_failovers",
+		"failovers started %d vs completed %d + abandoned %d",
+		s.FailoversStarted, s.FailoversCompleted, s.FailoversAbandoned)
+	v.Check(mode.Balanced(s.Routes, s.ClosedClient+s.ClosedBackend+s.FailoversStarted), "router_routes",
+		"routes %d vs closed-client %d + closed-backend %d + failovers-started %d",
+		s.Routes, s.ClosedClient, s.ClosedBackend, s.FailoversStarted)
+	v.Check(mode == metrics.Live || s.SessionsActive == 0, "router_sessions", "%d sessions active", s.SessionsActive)
+	return v
 }
 
 // StatsHandler mirrors Server.StatsHandler for the router:

@@ -6,8 +6,7 @@
 //
 // With -router the address is an arouter's -stats endpoint: each tick
 // prints the fleet view (session routes, proxied byte rates, failover
-// counters, per-backend health) and the router's conservation laws are
-// checked instead of the device-frame laws.
+// counters, per-backend health).
 //
 // Each tick prints one line per device with the deltas since the last
 // scrape (bytes and frames per interval, underruns, parks) plus the
@@ -17,6 +16,10 @@
 // entirely for one server-wide line per tick, including the update
 // scheduler's health (engine update rate, tick-lag p99). -once prints a
 // single absolute snapshot and exits, which is also the scriptable mode.
+//
+// Every scrape is held to the live form of its snapshot's conservation
+// laws (Snapshot.Laws, RouterSnapshot.Laws); each broken law prints a
+// WARNING line on stderr, and -once then exits 1.
 package main
 
 import (
@@ -48,41 +51,58 @@ func main() {
 	url := "http://" + *addr + "/stats"
 
 	if *routerMd {
-		routerMain(url)
+		poll(url, routerHeader, printRouterAbsolute, printRouterDelta)
 		return
 	}
+	poll(url, header, printAbsolute, func(prev, cur aserver.Snapshot, dt time.Duration) {
+		if *agg {
+			printAggregate(prev, cur, dt)
+		} else {
+			printDelta(prev, cur, dt)
+		}
+	})
+}
 
-	prev, err := scrape(url)
+// lawful is a snapshot that states its conservation laws.
+type lawful interface {
+	Laws(metrics.Mode) []metrics.Violation
+}
+
+// poll is the main loop, for server and router snapshots alike: -once
+// prints one absolute snapshot, otherwise each tick prints the deltas
+// since the last one. Every scrape is held to its live laws.
+func poll[S lawful](url string, header func(), absolute func(S), delta func(prev, cur S, dt time.Duration)) {
+	prev, err := scrape[S](url)
 	if err != nil {
 		cmdutil.Die("astat: %v", err)
 	}
 	if *once {
-		printAbsolute(prev)
+		absolute(prev)
+		if warn(prev.Laws(metrics.Live)) {
+			os.Exit(1)
+		}
 		return
 	}
-
 	header()
 	for tick := 0; *count == 0 || tick < *count; tick++ {
 		time.Sleep(*interval)
-		cur, err := scrape(url)
+		cur, err := scrape[S](url)
 		if err != nil {
 			cmdutil.Die("astat: %v", err)
 		}
 		if tick%20 == 0 && tick > 0 {
 			header()
 		}
-		if *agg {
-			printAggregate(prev, cur, *interval)
-		} else {
-			printDelta(prev, cur, *interval)
-		}
+		delta(prev, cur, *interval)
+		warn(cur.Laws(metrics.Live))
 		prev = cur
 	}
 }
 
-// scrape fetches and decodes one snapshot.
-func scrape(url string) (aserver.Snapshot, error) {
-	var snap aserver.Snapshot
+// scrape fetches and decodes one snapshot (aserver.Snapshot, or
+// aserver.RouterSnapshot with -router).
+func scrape[S any](url string) (S, error) {
+	var snap S
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
@@ -270,9 +290,6 @@ func printAbsolute(s aserver.Snapshot) {
 			ls.ResyncAttempts, ls.RecSilenceBytes, ls.PlayLostBytes)
 	}
 	if *agg {
-		if werr := conservation(s); werr != "" {
-			fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-		}
 		return
 	}
 	devs := s.Devices
@@ -296,103 +313,16 @@ func printAbsolute(s aserver.Snapshot) {
 	if hidden > 0 {
 		fmt.Printf("... (+%d more devices; -top %d)\n", hidden, *top)
 	}
-	if werr := conservation(s); werr != "" {
-		fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-	}
 }
 
-// conservation checks the snapshot's frame-accounting laws; a violation
-// means the server's instrumentation is broken, which is worth shouting
-// about in a stats tool.
-func conservation(s aserver.Snapshot) string {
-	// Every disconnect is accounted to exactly one close reason. The check
-	// is one-sided because counters are read without a global lock: a
-	// reason may be counted an instant before the disconnect it explains.
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects > sum {
-		return fmt.Sprintf("disconnects %d > evictions %d + sheds %d + drains %d + client-closes %d",
-			s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
+// warn prints every broken law to stderr and reports whether there was
+// one: a violation means the instrumentation is broken, which is worth
+// shouting about in a stats tool.
+func warn(violations []metrics.Violation) bool {
+	for _, v := range violations {
+		fmt.Fprintf(os.Stderr, "astat: WARNING: law %v\n", v)
 	}
-	// Every request is retired by exactly one dispatch batch. One-sided
-	// because the server counts requests before observing the batch (and
-	// the snapshot reads the histogram first), so a batch mid-account may
-	// be missing from the sum but never over-counted.
-	if s.DispatchBatch.Sum > s.Requests {
-		return fmt.Sprintf("dispatch batch sizes sum to %d > %d requests",
-			s.DispatchBatch.Sum, s.Requests)
-	}
-	for _, d := range s.Devices {
-		if d.FramesAccepted != d.FramesBuffered+d.FramesDiscarded {
-			return fmt.Sprintf("device %d: accepted %d != buffered %d + discarded %d",
-				d.Index, d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
-		}
-		if d.FramesPreempted > d.FramesBuffered {
-			return fmt.Sprintf("device %d: preempted %d > buffered %d",
-				d.Index, d.FramesPreempted, d.FramesBuffered)
-		}
-		// Encode-once: a broadcast chunk is encoded at least once per live
-		// wire format. The server increments encodes before chunks, so the
-		// one-sided law holds in every snapshot, not just drained ones.
-		if d.BcastEncodes < d.BcastChunks {
-			return fmt.Sprintf("device %d: broadcast encodes %d < chunks %d",
-				d.Index, d.BcastEncodes, d.BcastChunks)
-		}
-		// LineServer transport health: every reply datagram is classified
-		// exactly once, and every resync the healer starts ends exactly
-		// once. Both one-sided live (the backend increments the aggregate
-		// first and the snapshot reads it last), exact after close.
-		if ls := d.Lineserver; ls != nil {
-			if sum := ls.Accepted + ls.Stale + ls.Duplicate; ls.Replies < sum {
-				return fmt.Sprintf("device %d: lineserver replies %d < accepted %d + stale %d + duplicate %d",
-					d.Index, ls.Replies, ls.Accepted, ls.Stale, ls.Duplicate)
-			}
-			if sum := ls.ResyncsCompleted + ls.ResyncsAbandoned; ls.ResyncsStarted < sum {
-				return fmt.Sprintf("device %d: lineserver resyncs started %d < completed %d + abandoned %d",
-					d.Index, ls.ResyncsStarted, ls.ResyncsCompleted, ls.ResyncsAbandoned)
-			}
-		}
-	}
-	return ""
-}
-
-// routerMain is the -router mode: poll an arouter's RouterSnapshot.
-func routerMain(url string) {
-	prev, err := scrapeRouter(url)
-	if err != nil {
-		cmdutil.Die("astat: %v", err)
-	}
-	if *once {
-		printRouterAbsolute(prev)
-		return
-	}
-	routerHeader()
-	for tick := 0; *count == 0 || tick < *count; tick++ {
-		time.Sleep(*interval)
-		cur, err := scrapeRouter(url)
-		if err != nil {
-			cmdutil.Die("astat: %v", err)
-		}
-		if tick%20 == 0 && tick > 0 {
-			routerHeader()
-		}
-		printRouterDelta(prev, cur, *interval)
-		prev = cur
-	}
-}
-
-// scrapeRouter fetches and decodes one router snapshot.
-func scrapeRouter(url string) (aserver.RouterSnapshot, error) {
-	var snap aserver.RouterSnapshot
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
+	return len(violations) > 0
 }
 
 func routerHeader() {
@@ -427,9 +357,6 @@ func printRouterDelta(prev, cur aserver.RouterSnapshot, dt time.Duration) {
 		cur.FailoversCompleted-prev.FailoversCompleted,
 		cur.RouteErrors-prev.RouteErrors,
 		roster)
-	if werr := routerConservation(cur); werr != "" {
-		fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-	}
 }
 
 // printRouterAbsolute renders one cumulative router snapshot.
@@ -446,25 +373,6 @@ func printRouterAbsolute(s aserver.RouterSnapshot) {
 			b.Name, b.State, b.Sessions, b.Probes, b.ProbeFailures,
 			b.DialErrors, b.ToHealthy, b.ToSuspect, b.ToDown)
 	}
-	if werr := routerConservation(s); werr != "" {
-		fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-	}
-}
-
-// routerConservation checks the router's accounting laws. Snapshots read
-// outcome counters before antecedents, so the one-sided forms hold in
-// every live snapshot (exact once the router is drained); a violation
-// means the router's bookkeeping is broken.
-func routerConservation(s aserver.RouterSnapshot) string {
-	if sum := s.FailoversCompleted + s.FailoversAbandoned; s.FailoversStarted < sum {
-		return fmt.Sprintf("failovers started %d < completed %d + abandoned %d",
-			s.FailoversStarted, s.FailoversCompleted, s.FailoversAbandoned)
-	}
-	if sum := s.ClosedClient + s.ClosedBackend + s.FailoversStarted; s.Routes < sum {
-		return fmt.Sprintf("routes %d < closed-client %d + closed-backend %d + failovers-started %d",
-			s.Routes, s.ClosedClient, s.ClosedBackend, s.FailoversStarted)
-	}
-	return ""
 }
 
 // ns renders a nanosecond bucket bound compactly.

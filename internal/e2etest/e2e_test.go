@@ -6,6 +6,9 @@ package e2etest
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -335,7 +338,12 @@ func TestAstatAgainstStatsEndpoint(t *testing.T) {
 	tone, _ := run(t, nil, "atone", "-f", "440", "-l", "0.3")
 	run(t, []byte(tone), "aplay", "-a", w.addr, "-f", "-t", "0.05")
 
-	out, _ := run(t, nil, "astat", "-a", sl.Addr().String(), "-once")
+	// run fails on a non-zero exit, which astat -once gives on a broken
+	// live law; every broken law also prints a WARNING line.
+	out, errOut := run(t, nil, "astat", "-a", sl.Addr().String(), "-once")
+	if strings.Contains(errOut, "WARNING") {
+		t.Errorf("astat reported broken laws:\n%s", errOut)
+	}
 	if !strings.Contains(out, "codec0") {
 		t.Errorf("astat output missing device name:\n%s", out)
 	}
@@ -347,6 +355,43 @@ func TestAstatAgainstStatsEndpoint(t *testing.T) {
 	fields := strings.Fields(lineWith(out, "codec0"))
 	if len(fields) < 2 || fields[1] != "2400" {
 		t.Errorf("astat device line play-bytes = %v, want 2400:\n%s", fields, out)
+	}
+}
+
+// TestAstatFailsOnBrokenLaw: astat -once, against a server and a router
+// endpoint serving doctored snapshots, prints every broken live law and
+// exits 1.
+func TestAstatFailsOnBrokenLaw(t *testing.T) {
+	for _, tc := range []struct {
+		snapshot string
+		args     []string
+		laws     []string
+	}{
+		{`{"disconnects": 1, "requests": 2, "dispatch_batch": {"count": 1, "sum": 3}}`,
+			nil, []string{"close_reasons", "dispatch_batch"}},
+		{`{"routes": 1, "closed_client": 2, "failovers_completed": 1}`,
+			[]string{"-router"}, []string{"router_failovers", "router_routes"}},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, tc.snapshot) //nolint:errcheck
+		}))
+		args := append([]string{"-a", strings.TrimPrefix(ts.URL, "http://"), "-once"}, tc.args...)
+		var errb bytes.Buffer
+		cmd := exec.Command(bin("astat"), args...)
+		cmd.Stderr = &errb
+		err := cmd.Run()
+		ts.Close()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("astat %v on broken laws: %v, want exit status 1", tc.args, err)
+		}
+		if n := strings.Count(errb.String(), "WARNING"); n != len(tc.laws) {
+			t.Errorf("astat %v printed %d warnings, want %d:\n%s", tc.args, n, len(tc.laws), errb.String())
+		}
+		for _, law := range tc.laws {
+			if !strings.Contains(errb.String(), law) {
+				t.Errorf("astat %v did not name law %s:\n%s", tc.args, law, errb.String())
+			}
+		}
 	}
 }
 

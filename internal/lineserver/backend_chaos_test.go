@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"audiofile/internal/metrics"
+	"audiofile/internal/soaktest"
 )
 
 // scriptedBox is a raw UDP responder the test drives packet by packet:
@@ -45,18 +48,6 @@ func startScriptedBox(t *testing.T, handle func(req *Packet) []*Packet) *scripte
 }
 
 func (b *scriptedBox) addr() string { return b.pc.LocalAddr().String() }
-
-// waitFor polls until cond holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestRoundTripDiscardsStaleAndDuplicate: the regression for the silent
 // failure path in roundTrip. The box answers a request with a stale
@@ -103,10 +94,8 @@ func TestRoundTripDiscardsStaleAndDuplicate(t *testing.T) {
 	if st.Duplicate == 0 {
 		t.Error("duplicated reply not counted")
 	}
-	if st.Replies != st.Accepted+st.Stale+st.Duplicate {
-		t.Errorf("reply law broken at rest: replies %d != accepted %d + stale %d + duplicate %d",
-			st.Replies, st.Accepted, st.Stale, st.Duplicate)
-	}
+	b.Close()
+	soaktest.Laws(t, "closed backend", b.Stats().Laws(metrics.Drained))
 }
 
 // TestDelayedReplyToTimedOutRequest: the ISSUE's exact scenario — a
@@ -185,7 +174,7 @@ func TestResyncAbandoned(t *testing.T) {
 	alive.Store(false)
 	b.Loopback(nil)
 	b.Loopback(nil)
-	waitFor(t, "state down after abandoned resync", func() bool { return b.State() == StateDown })
+	soaktest.WaitFor(t, 5*time.Second, "state down after abandoned resync", func() bool { return b.State() == StateDown })
 
 	b.Close()
 	st := b.Stats()
@@ -235,17 +224,13 @@ func TestResyncCompletes(t *testing.T) {
 	b.Loopback(nil)
 	b.Loopback(nil)
 	alive.Store(true)
-	waitFor(t, "resync completion after revival", func() bool {
+	soaktest.WaitFor(t, 5*time.Second, "resync completion after revival", func() bool {
 		st := b.Stats()
 		return st.ResyncsCompleted >= 1 && st.State == StateHealthy
 	})
 
 	b.Close()
-	st := b.Stats()
-	if st.ResyncsStarted != st.ResyncsCompleted+st.ResyncsAbandoned {
-		t.Errorf("resync law broken after close: started %d != completed %d + abandoned %d",
-			st.ResyncsStarted, st.ResyncsCompleted, st.ResyncsAbandoned)
-	}
+	soaktest.Laws(t, "closed backend", b.Stats().Laws(metrics.Drained))
 	var sawHealed bool
 	for _, ev := range b.Events() {
 		if ev.From == StateResyncing && ev.To == StateHealthy {
@@ -282,7 +267,7 @@ func TestSpontaneousRecovery(t *testing.T) {
 	alive.Store(false)
 	b.Loopback(nil)
 	b.Loopback(nil)
-	waitFor(t, "state down", func() bool { return b.State() == StateDown })
+	soaktest.WaitFor(t, 5*time.Second, "state down", func() bool { return b.State() == StateDown })
 
 	// The network heals before any new escalation: one good op recovers.
 	alive.Store(true)

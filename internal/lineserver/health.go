@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"audiofile/internal/metrics"
 )
 
 // Self-healing (ROADMAP item 5): the backend runs a detect/decide/act
@@ -27,14 +29,7 @@ import (
 //     the resync (state "down") until a fresh failure run re-arms it.
 //
 // Every transition is counted and recorded as an event, and the
-// counters obey exact conservation laws once the backend is closed:
-//
-//	Replies == Accepted + Stale + Duplicate
-//	ResyncsStarted == ResyncsCompleted + ResyncsAbandoned
-//
-// In a live snapshot both are one-sided (Replies >= the sum,
-// ResyncsStarted >= the sum): the aggregate counter is incremented
-// first and read last.
+// counters obey the conservation laws of BackendStats.Laws.
 
 // Health states.
 const (
@@ -166,7 +161,7 @@ func (b *Backend) Stats() BackendStats {
 		PlayLostBytes:    h.playLostBytes.Load(),
 		ConsecFails:      h.consecFails.Load(),
 	}
-	// Aggregates last (see the law comment above).
+	// Aggregates last (see Laws).
 	s.Replies = h.replies.Load()
 	s.ResyncsStarted = h.resyncsStarted.Load()
 	s.Requests = h.requests.Load()
@@ -175,6 +170,19 @@ func (b *Backend) Stats() BackendStats {
 	s.Events = append([]HealthEvent(nil), h.events...)
 	h.evMu.Unlock()
 	return s
+}
+
+// Laws returns every conservation law the snapshot breaks, in the given
+// mode: ls_replies and ls_resyncs balance exactly once the backend is
+// closed (metrics.Drained), and one-sided live, because each aggregate
+// is incremented first and read last.
+func (s BackendStats) Laws(mode metrics.Mode) []metrics.Violation {
+	var v metrics.Violations
+	v.Check(mode.Balanced(s.Replies, s.Accepted+s.Stale+s.Duplicate), "ls_replies",
+		"replies %d vs accepted %d + stale %d + duplicate %d", s.Replies, s.Accepted, s.Stale, s.Duplicate)
+	v.Check(mode.Balanced(s.ResyncsStarted, s.ResyncsCompleted+s.ResyncsAbandoned), "ls_resyncs",
+		"resyncs started %d vs completed %d + abandoned %d", s.ResyncsStarted, s.ResyncsCompleted, s.ResyncsAbandoned)
+	return v
 }
 
 // Events returns the recorded health transitions.

@@ -89,9 +89,9 @@ type Timer struct {
 // Wheel is a set of shards sharing an epoch. Timers are assigned to
 // shards by key at creation and never migrate.
 type Wheel struct {
-	epoch   time.Time
-	granule int64 // ns
-	shards  []*shard
+	epoch     time.Time
+	granule   int64 // ns
+	shards    []*shard
 	done      chan struct{}
 	wg        sync.WaitGroup
 	onBatch   func(n int)

@@ -30,15 +30,16 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
 	"audiofile/aserver"
 	"audiofile/internal/atime"
 	"audiofile/internal/lineserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/netsim"
 	"audiofile/internal/sampleconv"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
 
@@ -92,37 +93,24 @@ var chaosMatrix = []chaosProfile{
 	},
 }
 
-// chaosSeed returns the run's fault-schedule seed (CHAOS_SEED, default 1).
-func chaosSeed(t *testing.T) int64 {
-	s := os.Getenv("CHAOS_SEED")
-	if s == "" {
-		return 1
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		t.Fatalf("CHAOS_SEED=%q: %v", s, err)
-	}
-	return v
-}
-
 // chaosResult is what the driver goroutine hands back to the test
 // goroutine (which owns all assertions).
 type chaosResult struct {
-	intact    uint64 // bytes delivered matching the played pattern
-	silent    uint64 // bytes delivered as µ-law silence
-	corrupt   uint64 // bytes that are neither — must be zero
-	maxGap    int    // longest run of all-silence iterations
-	liveLawOK bool   // one-sided laws held in every live snapshot
+	intact   uint64              // bytes delivered matching the played pattern
+	silent   uint64              // bytes delivered as µ-law silence
+	corrupt  uint64              // bytes that are neither — must be zero
+	maxGap   int                 // longest run of all-silence iterations
+	liveLaws []metrics.Violation // broken one-sided laws, over every live snapshot
 }
 
 func TestLineserverChaosSoak(t *testing.T) {
 	const (
 		rate      = 8000
-		chunk     = 256             // frames (and bytes: µ-law mono) per iteration
-		soakIters = 940             // ≈ 30 simulated seconds per profile
+		chunk     = 256 // frames (and bytes: µ-law mono) per iteration
+		soakIters = 940 // ≈ 30 simulated seconds per profile
 		rtTimeout = 4 * time.Millisecond
 	)
-	seed := chaosSeed(t)
+	seed := soaktest.Seed(t, "CHAOS_SEED", 1)
 
 	for pi, p := range chaosMatrix {
 		p := p
@@ -156,7 +144,6 @@ func TestLineserverChaosSoak(t *testing.T) {
 			done := make(chan chaosResult, 1)
 			go func() {
 				var res chaosResult
-				res.liveLawOK = true
 				gap := 0
 				buf := make([]byte, chunk)
 				data := make([]byte, chunk)
@@ -194,11 +181,7 @@ func TestLineserverChaosSoak(t *testing.T) {
 					if i%64 == 32 {
 						b.WriteReg(lineserver.RegOutputGain, uint32(i))
 						b.ReadReg(lineserver.RegOutputGain)
-						st := b.Stats()
-						if st.Replies < st.Accepted+st.Stale+st.Duplicate ||
-							st.ResyncsStarted < st.ResyncsCompleted+st.ResyncsAbandoned {
-							res.liveLawOK = false
-						}
+						res.liveLaws = append(res.liveLaws, b.Stats().Laws(metrics.Live)...)
 					}
 				}
 				done <- res
@@ -237,18 +220,9 @@ func TestLineserverChaosSoak(t *testing.T) {
 			if res.maxGap > p.maxGapIters {
 				t.Errorf("longest silence gap %d iterations > ceiling %d", res.maxGap, p.maxGapIters)
 			}
-			// Conservation, exact after close.
-			if st.Replies != st.Accepted+st.Stale+st.Duplicate {
-				t.Errorf("reply law: replies %d != accepted %d + stale %d + duplicate %d",
-					st.Replies, st.Accepted, st.Stale, st.Duplicate)
-			}
-			if st.ResyncsStarted != st.ResyncsCompleted+st.ResyncsAbandoned {
-				t.Errorf("resync law: started %d != completed %d + abandoned %d",
-					st.ResyncsStarted, st.ResyncsCompleted, st.ResyncsAbandoned)
-			}
-			if !res.liveLawOK {
-				t.Error("one-sided conservation law violated in a live snapshot")
-			}
+			// Conservation: one-sided live, exact after close.
+			soaktest.Laws(t, "live backend", res.liveLaws)
+			soaktest.Laws(t, "closed backend", st.Laws(metrics.Drained))
 			if !faults.Conserved() {
 				t.Errorf("netsim packet accounting does not conserve: %+v", faults)
 			}
@@ -256,7 +230,7 @@ func TestLineserverChaosSoak(t *testing.T) {
 			if p.wantResyncs && st.ResyncsStarted == 0 {
 				t.Error("profile expected to trigger resyncs; none started")
 			}
-			if p.wantStale && st.Stale+st.Duplicate == 0 {
+			if p.wantStale && st.Stale == 0 && st.Duplicate == 0 {
 				t.Error("profile expected stale/duplicate replies; none classified")
 			}
 			if p.name != "clean" && st.Timeouts == 0 {
@@ -265,15 +239,7 @@ func TestLineserverChaosSoak(t *testing.T) {
 
 			// Goroutines settle: healer, firmware network thread, and the
 			// fault layer must all be gone.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				stack := make([]byte, 1<<20)
-				stack = stack[:runtime.Stack(stack, true)]
-				t.Errorf("goroutines did not settle: %d > baseline %d\n%s", n, baseline, stack)
-			}
+			soaktest.Settle(t, baseline, 5*time.Second)
 
 			chaosSummary(t, fmt.Sprintf(
 				"profile=%s seed=%d intact=%.3f max_gap=%d requests=%d replies=%d accepted=%d stale=%d duplicate=%d garbage=%d timeouts=%d slips=%d resyncs_started=%d resyncs_completed=%d resyncs_abandoned=%d resync_attempts=%d rec_silence_bytes=%d play_lost_bytes=%d state=%s\n",
@@ -346,10 +312,5 @@ func TestLineserverStatsExported(t *testing.T) {
 	if ls.State != lineserver.StateHealthy {
 		t.Errorf("state over a healthy box = %s", ls.State)
 	}
-	if ls.Replies < ls.Accepted+ls.Stale+ls.Duplicate {
-		t.Errorf("exported snapshot breaks the reply law: %+v", ls)
-	}
-	if ls.ResyncsStarted < ls.ResyncsCompleted+ls.ResyncsAbandoned {
-		t.Errorf("exported snapshot breaks the resync law: %+v", ls)
-	}
+	soaktest.Laws(t, "exported snapshot", snap.Laws(metrics.Live))
 }

@@ -1,9 +1,10 @@
 // Metrics invariant tests: run the shard-stress workload shapes and then
-// hold the observability layer to its conservation laws. The laws are
-// exact, not statistical — every frame a play request delivers is either
-// buffered or discarded, every park started is completed or discarded,
-// every connect is matched by a disconnect once the clients are gone —
-// so any drift here means a counter has lost its single owner. Run under
+// hold the observability layer to its drained conservation laws
+// (Snapshot.Laws). The laws are exact, not statistical — every frame a
+// play request delivers is either buffered or discarded, every park
+// started is completed or discarded, every connect is matched by a
+// disconnect once the clients are gone — so any drift here means a
+// counter has lost its single owner. Run under
 // -race in CI alongside the stress tests.
 package audiofile
 
@@ -17,7 +18,9 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/netsim"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
 
@@ -42,48 +45,6 @@ func drainSnapshot(t *testing.T, srv *aserver.Server) aserver.Snapshot {
 				s.Connects, s.Disconnects, s.ActiveClients, parked)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// checkConservation asserts the per-device frame and park accounting
-// laws on a drained snapshot.
-func checkConservation(t *testing.T, s aserver.Snapshot) {
-	t.Helper()
-	for _, d := range s.Devices {
-		if d.FramesAccepted != d.FramesBuffered+d.FramesDiscarded {
-			t.Errorf("device %d: accepted %d != buffered %d + discarded %d",
-				d.Index, d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
-		}
-		if d.FramesPreempted > d.FramesBuffered {
-			t.Errorf("device %d: preempted %d > buffered %d",
-				d.Index, d.FramesPreempted, d.FramesBuffered)
-		}
-		if d.ParksStarted != d.ParksCompleted+d.ParksDiscarded {
-			t.Errorf("device %d: parks started %d != completed %d + discarded %d",
-				d.Index, d.ParksStarted, d.ParksCompleted, d.ParksDiscarded)
-		}
-		// Broadcast encode-once: each chunk is encoded at least once per
-		// live wire format, never zero (a chunk with no encodes would mean
-		// the pump cut time-slices for nobody). One-sided because the
-		// format population can change between chunks.
-		if d.BcastChunks > 0 && d.BcastEncodes < d.BcastChunks {
-			t.Errorf("device %d: broadcast encodes %d < chunks %d",
-				d.Index, d.BcastEncodes, d.BcastChunks)
-		}
-		if d.BcastSubs != 0 {
-			t.Errorf("device %d: %d subscriptions outstanding after drain", d.Index, d.BcastSubs)
-		}
-	}
-	dispatched := s.DispatchPlayNs.Count + s.DispatchRecordNs.Count +
-		s.DispatchGetTimeNs.Count + s.DispatchControlNs.Count
-	if s.Requests != dispatched {
-		t.Errorf("requests %d != dispatch observations %d", s.Requests, dispatched)
-	}
-	// Batching: every request is retired by exactly one dispatch batch
-	// (standalone and control dispatches count as a batch of one), so on a
-	// drained snapshot the batch sizes sum back to the request count.
-	if s.Requests != s.DispatchBatch.Sum {
-		t.Errorf("requests %d != dispatch batch sizes sum %d", s.Requests, s.DispatchBatch.Sum)
 	}
 }
 
@@ -113,33 +74,15 @@ func TestMetricsConservation(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, clk := range clocks {
-				clk.Advance(256)
-			}
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
+	soaktest.Every(t, 100*time.Microsecond, func() {
+		for _, clk := range clocks {
+			clk.Advance(256)
 		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+		srv.Sync()
+	})
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var errs soaktest.FirstError
+	fail := errs.Set
 
 	var wg sync.WaitGroup
 	var playBytesSent [devices]atomic.Uint64
@@ -231,12 +174,12 @@ func TestMetricsConservation(t *testing.T) {
 	}
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := errs.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	soaktest.Laws(t, "drained server", s.Laws(metrics.Drained))
 
 	// The workload must actually have moved the counters it claims to
 	// conserve, or the laws hold vacuously.
@@ -296,12 +239,8 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var errs soaktest.FirstError
+	fail := errs.Set
 
 	// Fragmented clients: every wire byte arrives in 1..7 byte pieces
 	// (splitting even the 4-byte request headers); the session must be
@@ -374,12 +313,12 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 	}
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := errs.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	soaktest.Laws(t, "drained server", s.Laws(metrics.Drained))
 	if s.Connects < 4 {
 		t.Errorf("connects = %d, want at least the 4 fragmented clients", s.Connects)
 	}

@@ -24,21 +24,23 @@ import (
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/core"
+	"audiofile/internal/metrics"
 	"audiofile/internal/netsim"
 	"audiofile/internal/proto"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
 
 func TestOverloadSoak(t *testing.T) {
 	const (
-		rate          = 8000
-		simMinute     = 60 * rate // frames of simulated device time
-		clientBudget  = 32 << 10
-		frameCeiling  = 16 << 20
-		evictGrace    = 100 * time.Millisecond
-		fragClients   = 3
-		resetClients  = 2
-		stallClients  = 2
+		rate         = 8000
+		simMinute    = 60 * rate // frames of simulated device time
+		clientBudget = 32 << 10
+		frameCeiling = 16 << 20
+		evictGrace   = 100 * time.Millisecond
+		fragClients  = 3
+		resetClients = 2
+		stallClients = 2
 		// Enough that the flood's reply stream (16 bytes per GetTime)
 		// overflows any kernel socket buffering: with TCP autotuning the
 		// send buffer can absorb several MB before user-space queueing —
@@ -71,54 +73,23 @@ func TestOverloadSoak(t *testing.T) {
 	// workload is done and a full simulated minute has elapsed, so every
 	// park and buffered frame can resolve.
 	var advanced atomic.Int64
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clk.Advance(256)
-			advanced.Add(256)
-			srv.Sync()
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
+	soaktest.Every(t, 50*time.Microsecond, func() {
+		clk.Advance(256)
+		advanced.Add(256)
+		srv.Sync()
+	})
 
 	// Budget watcher: the pooled-frame gauge must stay under the ceiling
 	// at every instant, not just at the end.
 	var maxFrameBytes atomic.Int64
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go func() {
-		defer watchWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if fb := srv.Snapshot().FrameBytesInFlight; fb > maxFrameBytes.Load() {
-				maxFrameBytes.Store(fb)
-			}
-			time.Sleep(time.Millisecond)
+	soaktest.Every(t, time.Millisecond, func() {
+		if fb := srv.Snapshot().FrameBytesInFlight; fb > maxFrameBytes.Load() {
+			maxFrameBytes.Store(fb)
 		}
-	}()
-	t.Cleanup(watchWG.Wait)
-	// Cleanups run LIFO: stop closes first, then both waiters join.
-	t.Cleanup(func() { close(stop) })
+	})
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var errs soaktest.FirstError
+	fail := errs.Set
 	dialFault := func(cfg netsim.FaultConfig) net.Conn {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -334,7 +305,7 @@ func TestOverloadSoak(t *testing.T) {
 	}()
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := errs.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,27 +316,17 @@ func TestOverloadSoak(t *testing.T) {
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	soaktest.Laws(t, "drained server", s.Laws(metrics.Drained))
 
-	// The wedged consumer must have been evicted, and every disconnect —
-	// evictions included — must be classified exactly once.
+	// The wedged consumer must have been evicted; the drained laws above
+	// hold every disconnect to exactly one close reason and the queued
+	// and pooled frame bytes to zero.
 	if s.Evictions < 1 {
 		t.Errorf("evictions = %d, want >= 1 (the wedged consumer)", s.Evictions)
 	}
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-		t.Errorf("disconnects %d != evictions %d + sheds %d + drains %d + client closes %d",
-			s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
-	}
 
-	// Resource invariants: queued bytes and pooled frames return to zero
-	// once the clients are gone, and the in-flight frame gauge never
-	// crossed the configured ceiling during the run.
-	if s.QueuedBytes != 0 {
-		t.Errorf("queued bytes %d after drain, want 0", s.QueuedBytes)
-	}
-	if s.FrameBytesInFlight != 0 {
-		t.Errorf("frame bytes in flight %d after drain, want 0", s.FrameBytesInFlight)
-	}
+	// The in-flight frame gauge never crossed the configured ceiling
+	// during the run.
 	if mfb := maxFrameBytes.Load(); mfb > frameCeiling {
 		t.Errorf("pooled frame bytes peaked at %d, over the %d ceiling", mfb, frameCeiling)
 	}

@@ -13,10 +13,8 @@
 //   - Audio contexts replay verbatim across the failover: the replayed
 //     AC keeps working (plays, records, attribute changes) on the
 //     standby without being re-created by the application.
-//   - The router's books balance: failovers_started ==
-//     failovers_completed + failovers_abandoned and routes ==
-//     closed_client + closed_backend + failovers_started, exactly, once
-//     the router is drained; the one-sided forms hold live.
+//   - The router's books balance (RouterSnapshot.Laws): exactly once
+//     the router is drained, in their one-sided forms live.
 //   - Goroutines settle to baseline after teardown: no leaked pumps,
 //     probers, breakers, or client readers.
 //
@@ -28,9 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,22 +34,11 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/netsim"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
-
-// routerSeed returns the run's placement seed (ROUTER_SEED, default 1).
-func routerSeed(t *testing.T) int64 {
-	s := os.Getenv("ROUTER_SEED")
-	if s == "" {
-		return 1
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		t.Fatalf("ROUTER_SEED=%q: %v", s, err)
-	}
-	return v
-}
 
 // soakBackend is one afd of the simulated fleet: a real-clock server
 // listening through a Breaker so the test can crash it.
@@ -105,7 +90,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 		nClients  = 12
 		chunk     = 256
 	)
-	seed := routerSeed(t)
+	seed := soaktest.Seed(t, "ROUTER_SEED", 1)
 	baseline := runtime.NumGoroutine()
 
 	backends := make([]*soakBackend, nBackends)
@@ -230,7 +215,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 	}
 
 	// Phase 1 — warm up: every client must stream before the crash.
-	waitFor(t, 10*time.Second, "all clients streaming", func() bool {
+	soaktest.WaitFor(t, 10*time.Second, "all clients streaming", func() bool {
 		for _, sc := range clients {
 			sc.mu.Lock()
 			ok := sc.plays >= 3
@@ -265,7 +250,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 	// Phase 3 — recovery window: every victim client must resume
 	// streaming (a successful play after the cut implies its replayed AC
 	// works on the standby).
-	waitFor(t, 20*time.Second, "victim clients resumed on a standby", func() bool {
+	soaktest.WaitFor(t, 20*time.Second, "victim clients resumed on a standby", func() bool {
 		for _, sc := range clients {
 			sc.mu.Lock()
 			ok := sc.hardErr != nil || sc.playsAfterCut >= 3
@@ -293,7 +278,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 		}
 		expected[next]++
 	}
-	waitFor(t, 10*time.Second, "sessions settled on standbys", func() bool {
+	soaktest.WaitFor(t, 10*time.Second, "sessions settled on standbys", func() bool {
 		for i, b := range backends {
 			active := b.srv.Snapshot().ActiveClients
 			if i == victim {
@@ -343,15 +328,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 	}
 
 	// Live one-sided laws while sessions are still up.
-	live := router.Snapshot()
-	if live.FailoversStarted < live.FailoversCompleted+live.FailoversAbandoned {
-		t.Errorf("live law: started %d < completed %d + abandoned %d",
-			live.FailoversStarted, live.FailoversCompleted, live.FailoversAbandoned)
-	}
-	if live.Routes < live.ClosedClient+live.ClosedBackend+live.FailoversStarted {
-		t.Errorf("live law: routes %d < closed_client %d + closed_backend %d + started %d",
-			live.Routes, live.ClosedClient, live.ClosedBackend, live.FailoversStarted)
-	}
+	soaktest.Laws(t, "live router", router.Snapshot().Laws(metrics.Live))
 
 	for _, c := range conns {
 		c.Close()
@@ -359,18 +336,11 @@ func TestRouterFailoverSoak(t *testing.T) {
 
 	// Drain the router and check the exact conservation laws.
 	var snap aserver.RouterSnapshot
-	waitFor(t, 10*time.Second, "router drained", func() bool {
+	soaktest.WaitFor(t, 10*time.Second, "router drained", func() bool {
 		snap = router.Snapshot()
 		return snap.SessionsActive == 0
 	})
-	if snap.FailoversStarted != snap.FailoversCompleted+snap.FailoversAbandoned {
-		t.Errorf("failover law: started %d != completed %d + abandoned %d",
-			snap.FailoversStarted, snap.FailoversCompleted, snap.FailoversAbandoned)
-	}
-	if snap.Routes != snap.ClosedClient+snap.ClosedBackend+snap.FailoversStarted {
-		t.Errorf("route law: routes %d != closed_client %d + closed_backend %d + failovers_started %d",
-			snap.Routes, snap.ClosedClient, snap.ClosedBackend, snap.FailoversStarted)
-	}
+	soaktest.Laws(t, "drained router", snap.Laws(metrics.Drained))
 	// Two survivors stood by, so no failover may have been abandoned,
 	// and at least every severed victim session must have started one.
 	if snap.FailoversAbandoned != 0 {
@@ -400,31 +370,11 @@ func TestRouterFailoverSoak(t *testing.T) {
 	}
 
 	// Goroutines settle: pumps, probers, backend readers all gone.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		stack := make([]byte, 1<<20)
-		stack = stack[:runtime.Stack(stack, true)]
-		t.Errorf("goroutines did not settle: %d > baseline %d\n%s", n, baseline, stack)
-	}
+	soaktest.Settle(t, baseline, 10*time.Second)
 }
 
 // isReconnected reports the one error shape the soak tolerates.
 func isReconnected(err error) bool {
 	var re *af.ReconnectedError
 	return errors.As(err, &re)
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

@@ -11,13 +11,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/proto"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
 
@@ -52,33 +52,15 @@ func TestShardStress(t *testing.T) {
 
 	// Stepper: device time marches on while the clients hammer the
 	// engines, resolving parked requests as it goes.
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, clk := range clocks {
-				clk.Advance(256)
-			}
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
+	soaktest.Every(t, 100*time.Microsecond, func() {
+		for _, clk := range clocks {
+			clk.Advance(256)
 		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+		srv.Sync()
+	})
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var errs soaktest.FirstError
+	fail := errs.Set
 
 	var wg sync.WaitGroup
 	// Healthy clients: a mixed op stream that must never error.
@@ -174,7 +156,7 @@ func TestShardStress(t *testing.T) {
 	}
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := errs.Err(); err != nil {
 		t.Fatal(err)
 	}
 

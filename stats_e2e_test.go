@@ -9,11 +9,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sync"
 	"testing"
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/metrics"
+	"audiofile/internal/soaktest"
 	"audiofile/internal/vdev"
 )
 
@@ -60,29 +61,11 @@ func TestStatsEndpoint(t *testing.T) {
 	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 
 	// Scrapers race the workload: every snapshot taken mid-flight must
-	// already satisfy the conservation laws (they are read under the
+	// already satisfy the live laws (frame counters are read under the
 	// engine lock, never torn).
-	stop := make(chan struct{})
-	var scrapeWG sync.WaitGroup
-	scrapeWG.Add(1)
-	go func() {
-		defer scrapeWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s := scrapeStats(t, statsURL)
-			for _, d := range s.Devices {
-				if d.FramesAccepted != d.FramesBuffered+d.FramesDiscarded {
-					t.Errorf("mid-workload snapshot torn: accepted %d != buffered %d + discarded %d",
-						d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
-					return
-				}
-			}
-		}
-	}()
+	stopScraper := soaktest.Every(t, 0, func() {
+		soaktest.Laws(t, "mid-workload snapshot", scrapeStats(t, statsURL).Laws(metrics.Live))
+	})
 
 	mixer, err := conn.CreateAC(0, 0, af.ACAttributes{})
 	if err != nil {
@@ -116,8 +99,7 @@ func TestStatsEndpoint(t *testing.T) {
 	clk.Advance(8192)
 	srv.Sync()
 
-	close(stop)
-	scrapeWG.Wait()
+	stopScraper()
 
 	s := scrapeStats(t, statsURL)
 	if len(s.Devices) != 1 {
@@ -145,7 +127,11 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("dispatch counts play=%d record=%d, want 2 and 1",
 			s.DispatchPlayNs.Count, s.DispatchRecordNs.Count)
 	}
-	checkConservation(t, s)
+	// The client is still connected: only the live laws apply to the
+	// scrape. Once it is gone the exact ones must hold too.
+	soaktest.Laws(t, "scraped snapshot", s.Laws(metrics.Live))
+	conn.Close()
+	soaktest.Laws(t, "drained server", drainSnapshot(t, srv).Laws(metrics.Drained))
 
 	// The expvar view must be valid JSON carrying the same counters.
 	resp, err := http.Get("http://" + sl.Addr().String() + "/debug/vars")
